@@ -29,19 +29,34 @@ inline core::ExperimentRunner runner_from(const util::Config& cfg) {
   return core::ExperimentRunner(cfg.get("jobs", 0));
 }
 
-/// Clones a trained agent's policy network. Worker threads must not share
-/// one DqnAgent (forward passes cache activations), so each parallel
-/// evaluation task gets its own frozen copy; greedy actions are identical to
-/// the original's because the weights are.
-inline std::unique_ptr<rl::DqnAgent> clone_policy(const rl::DqnAgent& agent,
-                                                  std::size_t state_size,
-                                                  int num_actions) {
-  std::stringstream weights;
-  agent.save(weights);
-  auto copy = std::make_unique<rl::DqnAgent>(state_size, num_actions,
-                                             agent.params());
-  copy->load_weights(weights);
-  return copy;
+/// Parses a bench command line. The bare `--smoke` / `smoke` flag becomes
+/// `smoke=true`; it is stripped before Config parsing, which would otherwise
+/// take the next token (`--smoke out=X`) as its value. `smoke=<bool>` works
+/// too, so benches read the mode as cfg.get("smoke", false).
+inline util::Config parse_args(int argc, char** argv) {
+  std::vector<const char*> args;
+  bool smoke = false;
+  for (int i = 0; i < argc; ++i) {
+    const std::string tok = argv[i];
+    if (i > 0 && (tok == "--smoke" || tok == "smoke")) {
+      smoke = true;
+      continue;
+    }
+    args.push_back(argv[i]);
+  }
+  util::Config cfg =
+      util::Config::from_args(static_cast<int>(args.size()), args.data());
+  if (smoke) cfg.set("smoke", "true");
+  return cfg;
+}
+
+/// A trained agent's policy as an in-memory DqnAgent::save blob — the form
+/// scenario::controller_factory("drl", blob) serves, one private copy per
+/// evaluation task, exactly as `.drlsc` schedules and fleets load it.
+inline std::string policy_blob(const rl::DqnAgent& agent) {
+  std::ostringstream os;
+  agent.save(os);
+  return os.str();
 }
 
 /// DQN hyper-parameters used by every experiment (kept in one place so the
@@ -99,12 +114,65 @@ inline std::unique_ptr<rl::DqnAgent> train_agent_parallel(
   return agent;
 }
 
-/// Mean + normal-approximation 95% CI of one metric across replica values.
-/// Thin alias for core::summarize_metric (the implementation moved into the
-/// library so the fleet harness and tests share it); kept so the table
-/// benches read as before.
-inline core::MetricSummary summarize_metric(const std::vector<double>& xs) {
-  return core::summarize_metric(xs);
+/// One controller of a comparison: its table label, its
+/// scenario::controller_factory type, the environment it is evaluated on
+/// and, for `drl`, the policy blob it serves.
+struct ComparisonEntry {
+  std::string label;
+  std::string type;
+  core::NocEnvParams params;
+  std::string policy;  ///< DqnAgent::save blob; `drl` only
+};
+
+/// Per-tenant mean + 95% CI over the replicas of one entry.
+struct TenantCi {
+  core::MetricSummary latency;
+  core::MetricSummary p95;
+  core::MetricSummary throughput;  ///< delivered pkt/node/core-cycle
+  core::MetricSummary slo_hit_rate;
+};
+
+struct ComparisonResult {
+  std::string label;
+  core::ReplicationResult rep;
+  std::vector<TenantCi> tenants;  ///< by scenario tenant id
+};
+
+/// The controller-comparison harness behind the multi-tenant tables: runs
+/// core::evaluate_many for each entry (traffic seeds params.net.seed + i
+/// for i < replicas) and summarises every tenant across the replicas.
+/// Results are in entry order and bit-identical at any runner jobs value.
+inline std::vector<ComparisonResult> compare_controllers(
+    const std::vector<ComparisonEntry>& entries, int replicas,
+    const core::ExperimentRunner& runner) {
+  std::vector<ComparisonResult> out;
+  out.reserve(entries.size());
+  for (const ComparisonEntry& e : entries) {
+    ComparisonResult r;
+    r.label = e.label;
+    r.rep = core::evaluate_many(
+        e.params, scenario::controller_factory(e.type, e.policy), replicas,
+        runner);
+    const std::vector<core::Replica>& reps = r.rep.replicas;
+    const std::size_t num_tenants =
+        reps.empty() ? 0 : reps.front().result.tenants.size();
+    for (std::size_t t = 0; t < num_tenants; ++t) {
+      std::vector<double> lat, p95, thru, slo;
+      for (const core::Replica& rep : reps) {
+        const core::TenantEpisodeSummary& s = rep.result.tenants[t];
+        lat.push_back(s.mean_latency);
+        p95.push_back(s.p95_latency);
+        thru.push_back(s.accepted_rate);
+        slo.push_back(s.slo_hit_rate);
+      }
+      r.tenants.push_back({core::summarize_metric(lat),
+                           core::summarize_metric(p95),
+                           core::summarize_metric(thru),
+                           core::summarize_metric(slo)});
+    }
+    out.push_back(std::move(r));
+  }
+  return out;
 }
 
 /// Honors `--trace-out=` / `--metrics-out=` / `--trace-sample=` on the table

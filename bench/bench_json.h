@@ -1,11 +1,12 @@
-// Shared JSON metric emission for the headless benchmarks (perf_smoke,
-// trace_replay): a flat "metrics" object of rates, an optional "baseline"
-// echo and per-key "speedup" block when comparing against a previous
-// BENCH_*.json. Keeping the format in one place keeps every tracked
-// trajectory file diffable by the same tooling.
+// Shared output for the benchmarks: the checked file writer every bench
+// goes through, and the JSON metric emission (a flat "metrics" object, an
+// optional "baseline" echo and per-key "speedup" block when comparing
+// against a previous BENCH_*.json). Keeping the format in one place keeps
+// every tracked trajectory file diffable by the same tooling.
 #pragma once
 
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
@@ -21,6 +22,25 @@
 #endif
 
 namespace drlnoc::bench {
+
+/// The one way a bench writes a file (JSON metrics, policies, generated
+/// inputs): opens `path` with `mode`, runs `write` on the stream, flushes
+/// and checks it. Logs and returns false when the file cannot be opened or
+/// any write failed; benches turn that into a nonzero exit.
+inline bool write_output(const std::string& path,
+                         const std::function<void(std::ostream&)>& write,
+                         std::ios::openmode mode = std::ios::out) {
+  std::ofstream os(path, mode);
+  if (os) {
+    write(os);
+    os.flush();
+  }
+  if (!os) {
+    LOG_ERROR << "bench: cannot write " << path;
+    return false;
+  }
+  return true;
+}
 
 /// Version of the benchmark JSON layout below. Bump when fields are added,
 /// renamed or re-typed so downstream diff tooling can gate on it.

@@ -99,13 +99,12 @@ int main(int argc, char** argv) {
   train_ep.epoch_cycles = 512;
   train_ep.epochs_per_episode = 32;
   core::NocConfigEnv train_env(train_ep);
-  auto agent = bench::train_agent(train_env, episodes);
+  const core::ControllerFactory drl_factory = scenario::controller_factory(
+      "drl", bench::policy_blob(*bench::train_agent(train_env, episodes)));
   const double power_ref = train_env.power_ref_mw();
-  const std::size_t state_size = train_env.state_size();
-  const int num_actions = train_env.num_actions();
 
   // One task per offered rate: each evaluates the three controllers against
-  // its own private environments, with a frozen clone of the trained policy.
+  // its own private environments, with a private copy of the trained policy.
   struct RateRow {
     core::EpisodeResult drl, smax, smin;
   };
@@ -118,13 +117,11 @@ int main(int argc, char** argv) {
         ep.epochs_per_episode = 20;
         ep.reward.power_ref_mw = power_ref;
         core::NocConfigEnv env(ep);
-        const auto policy =
-            bench::clone_policy(*agent, state_size, num_actions);
-        core::DrlController drl(env.actions(), *policy);
+        const auto drl = drl_factory(env);
         auto smax = core::StaticController::maximal(env.actions());
         auto smin = core::StaticController::minimal(env.actions());
         RateRow row;
-        row.drl = core::evaluate(env, drl);
+        row.drl = core::evaluate(env, *drl);
         row.smax = core::evaluate(env, *smax);
         row.smin = core::evaluate(env, *smin);
         return row;

@@ -1,6 +1,7 @@
-// perf_smoke: headless hot-path throughput suite. Runs the fig6 substrate
-// benchmarks without google-benchmark and emits a flat JSON metrics block,
-// seeding the tracked BENCH_*.json trajectory (see README "Performance").
+// perf_smoke: the headless hot-path throughput suite behind the fig6
+// substrate numbers — network stepping, MLP forward/train, the DQN learn
+// step and replay push+sample — emitting a flat JSON metrics block that
+// seeds the tracked BENCH_*.json trajectory (see README "Performance").
 //
 //   ./bench/perf_smoke                           # print JSON to stdout
 //   ./bench/perf_smoke out=BENCH.json            # also write to a file
@@ -13,11 +14,11 @@
 // BENCH_*.json); its "metrics" object is compared key-by-key.
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench_json.h"
@@ -27,6 +28,7 @@
 #include "noc/network.h"
 #include "noc/workload.h"
 #include "rl/dqn.h"
+#include "rl/replay.h"
 #include "util/config.h"
 
 namespace {
@@ -146,6 +148,34 @@ double bench_dqn_learn(std::uint64_t iters, int repeats) {
   });
 }
 
+/// Replay push + sample(32) per item; the prioritized buffer also writes
+/// the sampled priorities back, as a learn step does. Pre-filled with 1000
+/// transitions of 20 features.
+template <typename Buffer>
+double bench_replay(std::uint64_t iters, int repeats) {
+  Buffer buf(20000);
+  Rng rng(3);
+  drlnoc::rl::Transition t;
+  t.state.assign(20, 0.5);
+  t.next_state.assign(20, 0.5);
+  for (int i = 0; i < 1000; ++i) buf.push(t);
+  const std::vector<double> td(32, 1.0);
+  std::size_t sink = 0;
+  const double rate = measure_rate(iters, repeats, [&] {
+    for (std::uint64_t i = 0; i < iters; ++i) {
+      buf.push(t);
+      const drlnoc::rl::SampledBatch batch = buf.sample(32, rng);
+      if constexpr (std::is_same_v<Buffer,
+                                   drlnoc::rl::PrioritizedReplayBuffer>) {
+        buf.update_priorities(batch.indices, td);
+      }
+      sink += batch.transitions.size();
+    }
+  });
+  if (sink == 42) std::cerr << "";  // defeat dead-code elimination
+  return rate;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -196,11 +226,21 @@ int main(int argc, char** argv) {
                        bench_mlp_forward_ws(32, n(2000), repeats));
   metrics.emplace_back("mlp_train_steps_b32", bench_mlp_train(n(1000), repeats));
   metrics.emplace_back("dqn_learn_steps", bench_dqn_learn(n(800), repeats));
+  metrics.emplace_back(
+      "replay_push_sample_uniform",
+      bench_replay<drlnoc::rl::ReplayBuffer>(n(20000), repeats));
+  metrics.emplace_back(
+      "replay_push_sample_prioritized",
+      bench_replay<drlnoc::rl::PrioritizedReplayBuffer>(n(20000), repeats));
 
   drlnoc::bench::write_metrics_json(std::cout, "perf_smoke", metrics, baseline);
   if (cfg.has("out")) {
-    std::ofstream out(cfg.get("out", std::string()));
-    drlnoc::bench::write_metrics_json(out, "perf_smoke", metrics, baseline);
+    const bool ok = drlnoc::bench::write_output(
+        cfg.get("out", std::string()), [&](std::ostream& os) {
+          drlnoc::bench::write_metrics_json(os, "perf_smoke", metrics,
+                                            baseline);
+        });
+    if (!ok) return 1;
   }
   return 0;
 }

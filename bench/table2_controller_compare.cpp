@@ -31,27 +31,24 @@ int main(int argc, char** argv) {
             << env.power_ref_mw() << " mW; jobs = " << runner.jobs()
             << ")\n\n";
 
-  auto agent = bench::train_agent(env, episodes);
+  const std::string policy =
+      bench::policy_blob(*bench::train_agent(env, episodes));
 
   util::Table t(bench::result_headers());
-
-  core::DrlController drl(env.actions(), *agent);
-  bench::result_row(t, core::evaluate(env, drl));
-
-  core::HeuristicParams hp;
-  hp.num_nodes = size * size;
-  core::HeuristicController heuristic(env.actions(), hp);
-  bench::result_row(t, core::evaluate(env, heuristic));
+  for (const char* type : {"drl", "heuristic"}) {
+    const auto controller = scenario::controller_factory(type, policy)(env);
+    bench::result_row(t, core::evaluate(env, *controller));
+  }
 
   const auto sweep = core::sweep_static_parallel(ep, runner);
   core::EpisodeResult oracle = sweep.front();
   oracle.controller = "oracle-" + oracle.controller;
   bench::result_row(t, oracle);
 
-  auto smax = core::StaticController::maximal(env.actions());
-  auto smin = core::StaticController::minimal(env.actions());
-  bench::result_row(t, core::evaluate(env, *smax));
-  bench::result_row(t, core::evaluate(env, *smin));
+  for (const char* type : {"static-max", "static-min"}) {
+    const auto controller = scenario::controller_factory(type)(env);
+    bench::result_row(t, core::evaluate(env, *controller));
+  }
 
   t.print(std::cout);
   std::cout << "\nshape check: DRL beats heuristic and static-max on reward "
@@ -63,41 +60,25 @@ int main(int argc, char** argv) {
   // (base_seed + replica index); the engine runs replicas concurrently.
   std::cout << "replication over " << replicas
             << " traffic seeds (mean +/- 95% CI):\n";
-  const std::size_t state_size = env.state_size();
-  const int num_actions = env.num_actions();
   core::NocEnvParams rep = ep;
   rep.reward.power_ref_mw = env.power_ref_mw();  // comparable across seeds
-
-  const auto drl_rep = core::evaluate_many(
-      rep,
-      [&](const core::NocConfigEnv& e) -> std::unique_ptr<core::Controller> {
-        auto policy = bench::clone_policy(*agent, state_size, num_actions);
-        return std::make_unique<core::OwningDrlController>(e.actions(),
-                                                           std::move(policy));
-      },
-      replicas, runner);
-  const auto max_rep = core::evaluate_many(
-      rep,
-      [](const core::NocConfigEnv& e) -> std::unique_ptr<core::Controller> {
-        return core::StaticController::maximal(e.actions());
-      },
-      replicas, runner);
+  const std::vector<bench::ComparisonResult> results =
+      bench::compare_controllers({{"drl", "drl", rep, policy},
+                                  {"static-max", "static-max", rep, ""}},
+                                 replicas, runner);
 
   util::Table r({"controller", "reward", "ci95", "latency", "ci95",
                  "power_mW", "ci95"});
-  const auto rep_row = [&r](const std::string& name,
-                            const core::ReplicationResult& res) {
+  for (const bench::ComparisonResult& res : results) {
     r.row()
-        .cell(name)
-        .cell(res.reward.mean, 2)
-        .cell(res.reward.ci95, 2)
-        .cell(res.latency.mean, 1)
-        .cell(res.latency.ci95, 1)
-        .cell(res.power_mw.mean, 1)
-        .cell(res.power_mw.ci95, 1);
-  };
-  rep_row("drl", drl_rep);
-  rep_row("static-max", max_rep);
+        .cell(res.label)
+        .cell(res.rep.reward.mean, 2)
+        .cell(res.rep.reward.ci95, 2)
+        .cell(res.rep.latency.mean, 1)
+        .cell(res.rep.latency.ci95, 1)
+        .cell(res.rep.power_mw.mean, 1)
+        .cell(res.rep.power_mw.ci95, 1);
+  }
   r.print(std::cout);
   std::cout << "\nshape check: DRL's reward advantage over static-max "
                "exceeds the CIs, so T2 is not a single-seed artifact.\n";

@@ -9,7 +9,6 @@
 // emitted JSON) are bit-identical at any --jobs value. `--smoke` shrinks
 // everything for CI; `out=FILE.json` dumps per-tenant metrics via
 // bench/bench_json.h.
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -25,50 +24,10 @@
 
 using namespace drlnoc;
 
-namespace {
-
-/// Per-tenant mean + 95% CI over the replicas of one controller.
-struct TenantCi {
-  core::MetricSummary latency;
-  core::MetricSummary p95;
-  core::MetricSummary throughput;
-};
-
-std::vector<TenantCi> tenant_cis(const core::ReplicationResult& rep,
-                                 std::size_t num_tenants) {
-  std::vector<TenantCi> out(num_tenants);
-  for (std::size_t t = 0; t < num_tenants; ++t) {
-    std::vector<double> lat, p95, thru;
-    for (const core::Replica& r : rep.replicas) {
-      const core::TenantEpisodeSummary& s = r.result.tenants[t];
-      lat.push_back(s.mean_latency);
-      p95.push_back(s.p95_latency);
-      thru.push_back(s.accepted_rate);
-    }
-    out[t].latency = bench::summarize_metric(lat);
-    out[t].p95 = bench::summarize_metric(p95);
-    out[t].throughput = bench::summarize_metric(thru);
-  }
-  return out;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  // `--smoke` is a bare flag (no value); strip it before Config parsing.
-  std::vector<const char*> args;
-  bool smoke = false;
-  for (int i = 0; i < argc; ++i) {
-    const std::string tok = argv[i];
-    if (tok == "--smoke" || tok == "smoke") {
-      smoke = true;
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  const util::Config cfg =
-      util::Config::from_args(static_cast<int>(args.size()), args.data());
+  const util::Config cfg = bench::parse_args(argc, argv);
   util::init_log(cfg.get("log", std::string()));
+  const bool smoke = cfg.get("smoke", false);
 
   const int size = cfg.get("size", smoke ? 4 : 8);
   const int episodes = cfg.get("episodes", smoke ? 2 : 80);
@@ -120,60 +79,18 @@ int main(int argc, char** argv) {
             << "; power_ref = " << env.power_ref_mw()
             << " mW; jobs = " << runner.jobs() << ")\n\n";
 
-  auto agent = bench::train_agent(env, episodes);
+  const std::string policy =
+      bench::policy_blob(*bench::train_agent(env, episodes));
 
   // --- replication: frozen policies vs statics across traffic seeds -------
-  const std::size_t state_size = env.state_size();
-  const int num_actions = env.num_actions();
   core::NocEnvParams rep = ep;
   rep.reward.power_ref_mw = env.power_ref_mw();  // comparable across seeds
-
-  struct Entry {
-    std::string name;
-    core::ReplicationResult rep;
-  };
-  std::vector<Entry> entries;
-  entries.push_back(
-      {"drl", core::evaluate_many(
-                  rep,
-                  [&](const core::NocConfigEnv& e)
-                      -> std::unique_ptr<core::Controller> {
-                    auto policy =
-                        bench::clone_policy(*agent, state_size, num_actions);
-                    return std::make_unique<core::OwningDrlController>(
-                        e.actions(), std::move(policy));
-                  },
-                  replicas, runner)});
-  entries.push_back(
-      {"heuristic",
-       core::evaluate_many(
-           rep,
-           [&](const core::NocConfigEnv& e)
-               -> std::unique_ptr<core::Controller> {
-             core::HeuristicParams hp;
-             hp.num_nodes = size * size;
-             return std::make_unique<core::HeuristicController>(e.actions(),
-                                                                hp);
-           },
-           replicas, runner)});
-  entries.push_back(
-      {"static-max",
-       core::evaluate_many(
-           rep,
-           [](const core::NocConfigEnv& e)
-               -> std::unique_ptr<core::Controller> {
-             return core::StaticController::maximal(e.actions());
-           },
-           replicas, runner)});
-  entries.push_back(
-      {"static-min",
-       core::evaluate_many(
-           rep,
-           [](const core::NocConfigEnv& e)
-               -> std::unique_ptr<core::Controller> {
-             return core::StaticController::minimal(e.actions());
-           },
-           replicas, runner)});
+  const std::vector<bench::ComparisonResult> results =
+      bench::compare_controllers({{"drl", "drl", rep, policy},
+                                  {"heuristic", "heuristic", rep, ""},
+                                  {"static-max", "static-max", rep, ""},
+                                  {"static-min", "static-min", rep, ""}},
+                                 replicas, runner);
 
   const std::size_t num_tenants = s->tenants.size();
   std::cout << "per-tenant metrics over " << replicas
@@ -181,11 +98,11 @@ int main(int argc, char** argv) {
   util::Table tab({"controller", "tenant", "latency", "ci95", "p95", "ci95",
                    "thru(pkt/node/cyc)", "ci95", "reward"});
   std::vector<std::pair<std::string, double>> metrics;
-  for (const Entry& e : entries) {
-    const std::vector<TenantCi> cis = tenant_cis(e.rep, num_tenants);
+  for (const bench::ComparisonResult& e : results) {
+    const std::vector<bench::TenantCi>& cis = e.tenants;
     for (std::size_t t = 0; t < num_tenants; ++t) {
       tab.row()
-          .cell(e.name)
+          .cell(e.label)
           .cell(s->tenants[t].name)
           .cell(cis[t].latency.mean, 2)
           .cell(cis[t].latency.ci95, 2)
@@ -194,15 +111,15 @@ int main(int argc, char** argv) {
           .cell(cis[t].throughput.mean, 5)
           .cell(cis[t].throughput.ci95, 5)
           .cell(t == 0 ? util::fmt(e.rep.reward.mean, 2) : std::string());
-      const std::string key = e.name + "." + s->tenants[t].name;
+      const std::string key = e.label + "." + s->tenants[t].name;
       metrics.emplace_back(key + ".latency", cis[t].latency.mean);
       metrics.emplace_back(key + ".latency_ci95", cis[t].latency.ci95);
       metrics.emplace_back(key + ".p95", cis[t].p95.mean);
       metrics.emplace_back(key + ".throughput", cis[t].throughput.mean);
       metrics.emplace_back(key + ".throughput_ci95", cis[t].throughput.ci95);
     }
-    metrics.emplace_back(e.name + ".reward", e.rep.reward.mean);
-    metrics.emplace_back(e.name + ".power_mw", e.rep.power_mw.mean);
+    metrics.emplace_back(e.label + ".reward", e.rep.reward.mean);
+    metrics.emplace_back(e.label + ".power_mw", e.rep.power_mw.mean);
   }
   tab.print(std::cout);
   std::cout << "\nshape check: the background tenant's load bleeds into the "
@@ -212,14 +129,12 @@ int main(int argc, char** argv) {
 
   const std::string out_path = cfg.get("out", std::string());
   if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    if (!out) {
-      LOG_ERROR << "table5: cannot write " << out_path;
-      return 1;
-    }
-    bench::write_metrics_json(out, "table5_multitenant", metrics, {},
-                              "mixed (core-cycle latency, pkt/node/cycle "
-                              "throughput, mW)");
+    const bool ok = bench::write_output(out_path, [&](std::ostream& os) {
+      bench::write_metrics_json(os, "table5_multitenant", metrics, {},
+                                "mixed (core-cycle latency, pkt/node/cycle "
+                                "throughput, mW)");
+    });
+    if (!ok) return 1;
     std::cout << "wrote " << out_path << "\n";
   }
   // Optional observability pass (after the measured comparisons, so every

@@ -12,8 +12,6 @@
 // results (including the emitted JSON) are bit-identical at any
 // --jobs/actors= value. `--smoke` shrinks everything for CI; `out=FILE.json`
 // dumps per-tenant metrics via bench/bench_json.h.
-#include <cmath>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -29,53 +27,10 @@
 
 using namespace drlnoc;
 
-namespace {
-
-/// Per-tenant mean + 95% CI over the replicas of one controller.
-struct TenantCi {
-  core::MetricSummary latency;
-  core::MetricSummary p95;
-  core::MetricSummary throughput;
-  core::MetricSummary slo_hit_rate;
-};
-
-std::vector<TenantCi> tenant_cis(const core::ReplicationResult& rep,
-                                 std::size_t num_tenants) {
-  std::vector<TenantCi> out(num_tenants);
-  for (std::size_t t = 0; t < num_tenants; ++t) {
-    std::vector<double> lat, p95, thru, slo;
-    for (const core::Replica& r : rep.replicas) {
-      const core::TenantEpisodeSummary& s = r.result.tenants[t];
-      lat.push_back(s.mean_latency);
-      p95.push_back(s.p95_latency);
-      thru.push_back(s.accepted_rate);
-      slo.push_back(s.slo_hit_rate);
-    }
-    out[t].latency = bench::summarize_metric(lat);
-    out[t].p95 = bench::summarize_metric(p95);
-    out[t].throughput = bench::summarize_metric(thru);
-    out[t].slo_hit_rate = bench::summarize_metric(slo);
-  }
-  return out;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  // `--smoke` is a bare flag (no value); strip it before Config parsing.
-  std::vector<const char*> args;
-  bool smoke = false;
-  for (int i = 0; i < argc; ++i) {
-    const std::string tok = argv[i];
-    if (tok == "--smoke" || tok == "smoke") {
-      smoke = true;
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  const util::Config cfg =
-      util::Config::from_args(static_cast<int>(args.size()), args.data());
+  const util::Config cfg = bench::parse_args(argc, argv);
   util::init_log(cfg.get("log", std::string()));
+  const bool smoke = cfg.get("smoke", false);
 
   const int size = cfg.get("size", smoke ? 4 : 8);
   const int episodes = cfg.get("episodes", smoke ? 2 : 80);
@@ -152,15 +107,13 @@ int main(int argc, char** argv) {
   // replay warns if it serves a different scenario.
   const std::string policy_path = cfg.get("save_policy", std::string());
   if (!policy_path.empty()) {
-    std::ofstream out(policy_path, std::ios::binary);
-    if (!out) {
-      LOG_ERROR << "table6: cannot write " << policy_path;
-      return 1;
-    }
     rl::PolicyMeta meta;
     meta.scenario_hash = scenario::content_hash_hex(*s);
     meta.git = DRLNOC_GIT_DESCRIBE;
-    qos_agent->save(out, meta);
+    const bool ok = bench::write_output(
+        policy_path, [&](std::ostream& os) { qos_agent->save(os, meta); },
+        std::ios::binary);
+    if (!ok) return 1;
     std::cout << "saved QoS policy to " << policy_path << "\n";
   }
 
@@ -169,56 +122,13 @@ int main(int argc, char** argv) {
   qos_rep.reward.power_ref_mw = qos_env.power_ref_mw();
   core::NocEnvParams agg_rep = agg_ep;
   agg_rep.reward.power_ref_mw = agg_env.power_ref_mw();
-
-  struct Entry {
-    std::string name;
-    core::ReplicationResult rep;
-  };
-  std::vector<Entry> entries;
-  entries.push_back(
-      {"drl-qos",
-       core::evaluate_many(
-           qos_rep,
-           [&](const core::NocConfigEnv& e)
-               -> std::unique_ptr<core::Controller> {
-             auto policy = bench::clone_policy(*qos_agent,
-                                               qos_env.state_size(),
-                                               qos_env.num_actions());
-             return std::make_unique<core::OwningDrlController>(
-                 e.actions(), std::move(policy));
-           },
-           replicas, runner)});
-  entries.push_back(
-      {"drl-aggregate",
-       core::evaluate_many(
-           agg_rep,
-           [&](const core::NocConfigEnv& e)
-               -> std::unique_ptr<core::Controller> {
-             auto policy = bench::clone_policy(*agg_agent,
-                                               agg_env.state_size(),
-                                               agg_env.num_actions());
-             return std::make_unique<core::OwningDrlController>(
-                 e.actions(), std::move(policy));
-           },
-           replicas, runner)});
-  entries.push_back(
-      {"static-max",
-       core::evaluate_many(
-           qos_rep,
-           [](const core::NocConfigEnv& e)
-               -> std::unique_ptr<core::Controller> {
-             return core::StaticController::maximal(e.actions());
-           },
-           replicas, runner)});
-  entries.push_back(
-      {"static-min",
-       core::evaluate_many(
-           qos_rep,
-           [](const core::NocConfigEnv& e)
-               -> std::unique_ptr<core::Controller> {
-             return core::StaticController::minimal(e.actions());
-           },
-           replicas, runner)});
+  const std::vector<bench::ComparisonResult> results =
+      bench::compare_controllers(
+          {{"drl-qos", "drl", qos_rep, bench::policy_blob(*qos_agent)},
+           {"drl-aggregate", "drl", agg_rep, bench::policy_blob(*agg_agent)},
+           {"static-max", "static-max", qos_rep, ""},
+           {"static-min", "static-min", qos_rep, ""}},
+          replicas, runner);
 
   const std::size_t num_tenants = s->tenants.size();
   std::cout << "per-tenant metrics over " << replicas
@@ -226,12 +136,12 @@ int main(int argc, char** argv) {
   util::Table tab({"controller", "tenant", "slo_hit", "ci95", "p95", "ci95",
                    "latency", "thru(pkt/node/cyc)", "power_mW"});
   std::vector<std::pair<std::string, double>> metrics;
-  for (const Entry& e : entries) {
-    const std::vector<TenantCi> cis = tenant_cis(e.rep, num_tenants);
+  for (const bench::ComparisonResult& e : results) {
+    const std::vector<bench::TenantCi>& cis = e.tenants;
     for (std::size_t t = 0; t < num_tenants; ++t) {
       const bool critical = s->tenants[t].p95_target > 0.0;
       tab.row()
-          .cell(e.name)
+          .cell(e.label)
           .cell(s->tenants[t].name)
           .cell(critical ? util::fmt(100.0 * cis[t].slo_hit_rate.mean, 1) + "%"
                          : std::string("-"))
@@ -242,7 +152,7 @@ int main(int argc, char** argv) {
           .cell(cis[t].latency.mean, 2)
           .cell(cis[t].throughput.mean, 5)
           .cell(t == 0 ? util::fmt(e.rep.power_mw.mean, 1) : std::string());
-      const std::string key = e.name + "." + s->tenants[t].name;
+      const std::string key = e.label + "." + s->tenants[t].name;
       metrics.emplace_back(key + ".slo_hit_rate", cis[t].slo_hit_rate.mean);
       metrics.emplace_back(key + ".slo_hit_rate_ci95",
                            cis[t].slo_hit_rate.ci95);
@@ -251,8 +161,8 @@ int main(int argc, char** argv) {
       metrics.emplace_back(key + ".latency", cis[t].latency.mean);
       metrics.emplace_back(key + ".throughput", cis[t].throughput.mean);
     }
-    metrics.emplace_back(e.name + ".reward", e.rep.reward.mean);
-    metrics.emplace_back(e.name + ".power_mw", e.rep.power_mw.mean);
+    metrics.emplace_back(e.label + ".reward", e.rep.reward.mean);
+    metrics.emplace_back(e.label + ".power_mw", e.rep.power_mw.mean);
   }
   tab.print(std::cout);
   std::cout << "\nshape check: DRL-QoS protects the dnn tenant's p95 SLO "
@@ -262,14 +172,12 @@ int main(int argc, char** argv) {
 
   const std::string out_path = cfg.get("out", std::string());
   if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    if (!out) {
-      LOG_ERROR << "table6: cannot write " << out_path;
-      return 1;
-    }
-    bench::write_metrics_json(out, "table6_qos", metrics, {},
-                              "mixed (SLO hit fraction, core-cycle latency, "
-                              "pkt/node/cycle throughput, mW)");
+    const bool ok = bench::write_output(out_path, [&](std::ostream& os) {
+      bench::write_metrics_json(os, "table6_qos", metrics, {},
+                                "mixed (SLO hit fraction, core-cycle latency, "
+                                "pkt/node/cycle throughput, mW)");
+    });
+    if (!ok) return 1;
     std::cout << "wrote " << out_path << "\n";
   }
   // Optional observability pass (after the measured comparisons, so every

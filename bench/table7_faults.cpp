@@ -14,8 +14,6 @@
 // emitted JSON) are bit-identical at any --jobs value. `--smoke` shrinks
 // everything for CI; `out=FILE.json` dumps the metrics via
 // bench/bench_json.h.
-#include <cmath>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -75,32 +73,6 @@ std::vector<FaultLevel> fault_levels(int size, double low, double high) {
   return levels;
 }
 
-/// Per-tenant mean + 95% CI over the replicas of one (controller, level)
-/// cell, plus the fabric-level fault accounting averaged per replica.
-struct CellCi {
-  core::MetricSummary slo_hit_rate;
-  core::MetricSummary p95;
-  core::MetricSummary throughput;
-};
-
-std::vector<CellCi> tenant_cis(const core::ReplicationResult& rep,
-                               std::size_t num_tenants) {
-  std::vector<CellCi> out(num_tenants);
-  for (std::size_t t = 0; t < num_tenants; ++t) {
-    std::vector<double> slo, p95, thru;
-    for (const core::Replica& r : rep.replicas) {
-      const core::TenantEpisodeSummary& s = r.result.tenants[t];
-      slo.push_back(s.slo_hit_rate);
-      p95.push_back(s.p95_latency);
-      thru.push_back(s.accepted_rate);
-    }
-    out[t].slo_hit_rate = bench::summarize_metric(slo);
-    out[t].p95 = bench::summarize_metric(p95);
-    out[t].throughput = bench::summarize_metric(thru);
-  }
-  return out;
-}
-
 struct FaultTotals {
   double retries = 0.0;        ///< mean per replica
   double packets_lost = 0.0;   ///< mean per replica
@@ -125,20 +97,9 @@ FaultTotals fault_totals(const core::ReplicationResult& rep) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // `--smoke` is a bare flag (no value); strip it before Config parsing.
-  std::vector<const char*> args;
-  bool smoke = false;
-  for (int i = 0; i < argc; ++i) {
-    const std::string tok = argv[i];
-    if (tok == "--smoke" || tok == "smoke") {
-      smoke = true;
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  const util::Config cfg =
-      util::Config::from_args(static_cast<int>(args.size()), args.data());
+  const util::Config cfg = bench::parse_args(argc, argv);
   util::init_log(cfg.get("log", std::string()));
+  const bool smoke = cfg.get("smoke", false);
 
   const int size = cfg.get("size", smoke ? 4 : 8);
   const int episodes = cfg.get("episodes", smoke ? 2 : 60);
@@ -199,74 +160,26 @@ int main(int argc, char** argv) {
   // DRL trains once, on the healthy fabric — the fault levels then probe
   // how the frozen policy degrades, mirroring deployment (faults are not
   // in the training distribution).
-  auto agent = bench::train_agent(env, episodes);
+  const std::string policy =
+      bench::policy_blob(*bench::train_agent(env, episodes));
 
-  struct Cell {
-    std::string controller;
-    std::string level;
-    std::vector<CellCi> tenants;
-    FaultTotals faults;
-    double power_mw = 0.0;
-  };
-  std::vector<Cell> cells;
-
+  // Every controller at one severity shares one faulted scenario copy; env
+  // construction re-validates it against the topology.
   const std::vector<std::string> controllers = {"drl", "heuristic",
                                                 "static-max"};
+  std::vector<bench::ComparisonEntry> entries;
   for (const FaultLevel& level : levels) {
-    // Every controller at one severity shares one faulted scenario copy;
-    // env construction re-validates it against the topology.
     auto sf = std::make_shared<scenario::Scenario>(*s);
     sf->faults = level.faults;
     core::NocEnvParams rep_ep = ep;
     rep_ep.scenario = sf;
     rep_ep.reward.power_ref_mw = env.power_ref_mw();
-
     for (const std::string& name : controllers) {
-      core::ControllerFactory factory;
-      if (name == "drl") {
-        factory = [&](const core::NocConfigEnv& e)
-            -> std::unique_ptr<core::Controller> {
-          auto policy = bench::clone_policy(*agent, env.state_size(),
-                                            env.num_actions());
-          return std::make_unique<core::OwningDrlController>(
-              e.actions(), std::move(policy));
-        };
-      } else if (name == "heuristic") {
-        factory = [size](const core::NocConfigEnv& e)
-            -> std::unique_ptr<core::Controller> {
-          core::HeuristicParams hp;
-          hp.num_nodes = size * size;
-          return std::make_unique<core::HeuristicController>(e.actions(), hp);
-        };
-      } else {
-        factory = [](const core::NocConfigEnv& e)
-            -> std::unique_ptr<core::Controller> {
-          return core::StaticController::maximal(e.actions());
-        };
-      }
-      const core::ReplicationResult rep =
-          core::evaluate_many(rep_ep, factory, replicas, runner);
-      Cell cell;
-      cell.controller = name;
-      cell.level = level.name;
-      cell.tenants = tenant_cis(rep, s->tenants.size());
-      cell.faults = fault_totals(rep);
-      cell.power_mw = rep.power_mw.mean;
-      cells.push_back(std::move(cell));
+      entries.push_back({name, name, rep_ep, name == "drl" ? policy : ""});
     }
   }
-
-  // Throughput retention: this cell's per-tenant delivered throughput over
-  // the same controller's healthy-level throughput (1.0 at "healthy" by
-  // construction; < 1 as faults bite).
-  auto healthy_thru = [&](const std::string& controller, std::size_t t) {
-    for (const Cell& c : cells) {
-      if (c.controller == controller && c.level == "healthy") {
-        return c.tenants[t].throughput.mean;
-      }
-    }
-    return 0.0;
-  };
+  const std::vector<bench::ComparisonResult> results =
+      bench::compare_controllers(entries, replicas, runner);
 
   std::cout << "per-tenant metrics over " << replicas
             << " traffic seeds (mean +/- 95% CI):\n";
@@ -274,15 +187,22 @@ int main(int argc, char** argv) {
                    "thru(pkt/node/cyc)", "retention", "retries", "lost",
                    "rerouted"});
   std::vector<std::pair<std::string, double>> metrics;
-  for (const Cell& c : cells) {
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const bench::ComparisonResult& c = results[i];
+    const std::string& level = levels[i / controllers.size()].name;
+    // Throughput retention: this cell's per-tenant delivered throughput over
+    // the same controller's healthy-level (levels[0]) throughput — 1.0 at
+    // "healthy" by construction, < 1 as faults bite.
+    const bench::ComparisonResult& healthy = results[i % controllers.size()];
+    const FaultTotals faults = fault_totals(c.rep);
     for (std::size_t t = 0; t < s->tenants.size(); ++t) {
       const bool critical = s->tenants[t].p95_target > 0.0;
-      const double base = healthy_thru(c.controller, t);
+      const double base = healthy.tenants[t].throughput.mean;
       const double retention =
           base > 0.0 ? c.tenants[t].throughput.mean / base : 0.0;
       tab.row()
-          .cell(c.level)
-          .cell(c.controller)
+          .cell(level)
+          .cell(c.label)
           .cell(s->tenants[t].name)
           .cell(critical
                     ? util::fmt(100.0 * c.tenants[t].slo_hit_rate.mean, 1) +
@@ -294,12 +214,10 @@ int main(int argc, char** argv) {
           .cell(c.tenants[t].p95.mean, 1)
           .cell(c.tenants[t].throughput.mean, 5)
           .cell(util::fmt(100.0 * retention, 1) + "%")
-          .cell(t == 0 ? util::fmt(c.faults.retries, 1) : std::string())
-          .cell(t == 0 ? util::fmt(c.faults.packets_lost, 1) : std::string())
-          .cell(t == 0 ? util::fmt(c.faults.rerouted_hops, 1)
-                       : std::string());
-      const std::string key =
-          c.level + "." + c.controller + "." + s->tenants[t].name;
+          .cell(t == 0 ? util::fmt(faults.retries, 1) : std::string())
+          .cell(t == 0 ? util::fmt(faults.packets_lost, 1) : std::string())
+          .cell(t == 0 ? util::fmt(faults.rerouted_hops, 1) : std::string());
+      const std::string key = level + "." + c.label + "." + s->tenants[t].name;
       metrics.emplace_back(key + ".slo_hit_rate",
                            c.tenants[t].slo_hit_rate.mean);
       metrics.emplace_back(key + ".slo_hit_rate_ci95",
@@ -311,11 +229,11 @@ int main(int argc, char** argv) {
                            c.tenants[t].throughput.ci95);
       metrics.emplace_back(key + ".retention", retention);
     }
-    const std::string key = c.level + "." + c.controller;
-    metrics.emplace_back(key + ".retries", c.faults.retries);
-    metrics.emplace_back(key + ".packets_lost", c.faults.packets_lost);
-    metrics.emplace_back(key + ".rerouted_hops", c.faults.rerouted_hops);
-    metrics.emplace_back(key + ".power_mw", c.power_mw);
+    const std::string key = level + "." + c.label;
+    metrics.emplace_back(key + ".retries", faults.retries);
+    metrics.emplace_back(key + ".packets_lost", faults.packets_lost);
+    metrics.emplace_back(key + ".rerouted_hops", faults.rerouted_hops);
+    metrics.emplace_back(key + ".power_mw", c.rep.power_mw.mean);
   }
   tab.print(std::cout);
   std::cout << "\nshape check: retention decays with the transient rate for "
@@ -326,16 +244,14 @@ int main(int argc, char** argv) {
 
   const std::string out_path = cfg.get("out", std::string());
   if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    if (!out) {
-      LOG_ERROR << "table7: cannot write " << out_path;
-      return 1;
-    }
-    bench::write_metrics_json(out, "table7_faults", metrics, {},
-                              "mixed (SLO hit fraction, core-cycle latency, "
-                              "pkt/node/cycle throughput, retention "
-                              "fraction, mean per-replica fault counts, "
-                              "mW)");
+    const bool ok = bench::write_output(out_path, [&](std::ostream& os) {
+      bench::write_metrics_json(os, "table7_faults", metrics, {},
+                                "mixed (SLO hit fraction, core-cycle latency, "
+                                "pkt/node/cycle throughput, retention "
+                                "fraction, mean per-replica fault counts, "
+                                "mW)");
+    });
+    if (!ok) return 1;
     std::cout << "wrote " << out_path << "\n";
   }
   // Optional observability pass at the worst severity (after the measured

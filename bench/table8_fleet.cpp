@@ -15,11 +15,9 @@
 // comparison as TABLE8 JSON via bench/bench_json.h. `--smoke` shrinks the
 // space for CI. Results are bit-identical at any --jobs value.
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -91,29 +89,12 @@ std::string spec_text(bool smoke) {
   return os.str();
 }
 
-void write_file(const std::string& path, const std::string& text) {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("table8: cannot write " + path);
-  os << text;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // `--smoke` is a bare flag (no value); strip it before Config parsing.
-  std::vector<const char*> args;
-  bool smoke = false;
-  for (int i = 0; i < argc; ++i) {
-    const std::string tok = argv[i];
-    if (tok == "--smoke" || tok == "smoke") {
-      smoke = true;
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  const util::Config cfg =
-      util::Config::from_args(static_cast<int>(args.size()), args.data());
+  const util::Config cfg = bench::parse_args(argc, argv);
   util::init_log(cfg.get("log", std::string()));
+  const bool smoke = cfg.get("smoke", false);
 
   const int size = cfg.get("size", smoke ? 4 : 8);
   const int episodes = cfg.get("episodes", smoke ? 2 : 40);
@@ -124,8 +105,14 @@ int main(int argc, char** argv) {
   const core::ExperimentRunner runner = bench::runner_from(cfg);
 
   std::filesystem::create_directories(workdir);
-  write_file(workdir + "/base.drlsc", base_scenario_text(size, smoke));
-  write_file(workdir + "/table8.drlfs", spec_text(smoke));
+  const auto write_text = [](const std::string& path,
+                              const std::string& text) {
+    return bench::write_output(path, [&](std::ostream& os) { os << text; });
+  };
+  if (!write_text(workdir + "/base.drlsc", base_scenario_text(size, smoke)) ||
+      !write_text(workdir + "/table8.drlfs", spec_text(smoke))) {
+    return 1;
+  }
   const fleet::ScenarioSpace space =
       fleet::ScenarioSpaceReader::read_file(workdir + "/table8.drlfs");
 
@@ -148,15 +135,13 @@ int main(int argc, char** argv) {
   train_ep.epoch_cycles = static_cast<std::uint64_t>(epoch_cycles);
   train_ep.epochs_per_episode = epochs;
   core::NocConfigEnv train_env(train_ep);
-  auto agent = bench::train_agent(train_env, episodes);
+  const std::string policy =
+      bench::policy_blob(*bench::train_agent(train_env, episodes));
   const std::string policy_path = workdir + "/table8.policy";
-  {
-    std::ofstream out(policy_path, std::ios::binary);
-    if (!out) {
-      LOG_ERROR << "table8: cannot write " << policy_path;
-      return 1;
-    }
-    agent->save(out);
+  if (!bench::write_output(
+          policy_path, [&](std::ostream& os) { os << policy; },
+          std::ios::binary)) {
+    return 1;
   }
 
   struct Entry {
@@ -171,10 +156,7 @@ int main(int argc, char** argv) {
     fp.controller = controller;
     if (controller == "drl") {
       fp.policy_file = policy_path;
-      std::ifstream in(policy_path, std::ios::binary);
-      std::stringstream ss;
-      ss << in.rdbuf();
-      fp.policy_blob = ss.str();
+      fp.policy_blob = policy;
     }
     fp.epochs = epochs;
     fp.epoch_cycles = static_cast<std::uint64_t>(epoch_cycles);
@@ -221,14 +203,12 @@ int main(int argc, char** argv) {
 
   const std::string out_path = cfg.get("out", std::string());
   if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    if (!out) {
-      LOG_ERROR << "table8: cannot write " << out_path;
-      return 1;
-    }
-    bench::write_metrics_json(out, "table8_fleet", metrics, {},
-                              "mixed (SLO hit fraction, core-cycle latency, "
-                              "mW)");
+    const bool ok = bench::write_output(out_path, [&](std::ostream& os) {
+      bench::write_metrics_json(os, "table8_fleet", metrics, {},
+                                "mixed (SLO hit fraction, core-cycle latency, "
+                                "mW)");
+    });
+    if (!ok) return 1;
     std::cout << "wrote " << out_path << "\n";
   }
   return 0;

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <map>
@@ -55,10 +54,9 @@ double measure_rate(std::uint64_t items, int repeats,
   return best;
 }
 
-trace::TraceReplayResult replay_once(const noc::NetworkParams& net_params,
-                                     std::shared_ptr<const trace::Trace> t,
-                                     double rate_scale,
-                                     std::uint64_t cycle_limit) {
+noc::RunResult replay_once(const noc::NetworkParams& net_params,
+                           std::shared_ptr<const trace::Trace> t,
+                           double rate_scale, std::uint64_t cycle_limit) {
   noc::Network net(net_params);
   trace::TraceWorkloadParams tw;
   tw.rate_scale = rate_scale;
@@ -129,7 +127,7 @@ int main(int argc, char** argv) {
   for (double s : scales) tasks.push_back({"dnn", dnn_trace, s});
   for (double s : scales) tasks.push_back({"alltoall", a2a_trace, s});
 
-  const auto results = util::parallel_map<trace::TraceReplayResult>(
+  const auto results = util::parallel_map<noc::RunResult>(
       static_cast<int>(tasks.size()), jobs, [&](int i) {
         const SweepTask& task = tasks[static_cast<std::size_t>(i)];
         return replay_once(net_params, task.trace, task.rate_scale, 4000000);
@@ -201,8 +199,11 @@ int main(int argc, char** argv) {
   }
   bench::write_metrics_json(std::cout, "trace_replay", metrics, baseline);
   if (cfg.has("out")) {
-    std::ofstream out(cfg.get("out", std::string()));
-    bench::write_metrics_json(out, "trace_replay", metrics, baseline);
+    const bool ok = bench::write_output(
+        cfg.get("out", std::string()), [&](std::ostream& os) {
+          bench::write_metrics_json(os, "trace_replay", metrics, baseline);
+        });
+    if (!ok) return 1;
   }
   return 0;
 }

@@ -15,7 +15,6 @@
 // Timings are machine-dependent: refresh on an idle machine, best of
 // `repeats` runs.
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -51,20 +50,9 @@ double best_seconds(int repeats, Fn&& fn) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // `--smoke` is a bare flag (no value); strip it before Config parsing.
-  std::vector<const char*> args;
-  bool smoke = false;
-  for (int i = 0; i < argc; ++i) {
-    const std::string tok = argv[i];
-    if (tok == "--smoke" || tok == "smoke") {
-      smoke = true;
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  const util::Config cfg =
-      util::Config::from_args(static_cast<int>(args.size()), args.data());
+  const util::Config cfg = bench::parse_args(argc, argv);
   util::init_log(cfg.get("log", std::string()));
+  const bool smoke = cfg.get("smoke", false);
 
   const int size = cfg.get("size", smoke ? 4 : 8);
   const int episodes = cfg.get("episodes", smoke ? 4 : 16);
@@ -147,22 +135,20 @@ int main(int argc, char** argv) {
 
   const std::string out_path = cfg.get("out", std::string());
   if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    if (!out) {
-      LOG_ERROR << "train_parallel: cannot write " << out_path;
-      return 1;
-    }
-    bench::write_metrics_json(
-        out, "train_parallel", metrics, {},
-        "seconds (and dimensionless speedups)",
-        "T6 QoS-scenario training wall clock: serial train_dqn vs the "
-        "multi-actor collector. Speedup scales with build_host_threads — on "
-        "a single-core host the collector's batched forwards (computed for "
-        "every lane each step, exploring or not, so curves stay "
-        "bit-identical at any actors count) cost wall clock instead of "
-        "hiding behind parallel env stepping; expect >=3x at actors=8 on an "
-        ">=8-thread machine. Refresh with: ./build/bench/train_parallel "
-        "actors=8 out=BENCH_PR10.json");
+    const bool ok = bench::write_output(out_path, [&](std::ostream& os) {
+      bench::write_metrics_json(
+          os, "train_parallel", metrics, {},
+          "seconds (and dimensionless speedups)",
+          "T6 QoS-scenario training wall clock: serial train_dqn vs the "
+          "multi-actor collector. Speedup scales with build_host_threads — on "
+          "a single-core host the collector's batched forwards (computed for "
+          "every lane each step, exploring or not, so curves stay "
+          "bit-identical at any actors count) cost wall clock instead of "
+          "hiding behind parallel env stepping; expect >=3x at actors=8 on an "
+          ">=8-thread machine. Refresh with: ./build/bench/train_parallel "
+          "actors=8 out=BENCH_PR10.json");
+    });
+    if (!ok) return 1;
     std::cout << "wrote " << out_path << "\n";
   }
   return 0;

@@ -21,9 +21,9 @@ using namespace drlnoc;
 
 namespace {
 
-trace::TraceReplayResult replay(const noc::NetworkParams& p,
-                                std::shared_ptr<const trace::Trace> t,
-                                double rate_scale) {
+noc::RunResult replay(const noc::NetworkParams& p,
+                      std::shared_ptr<const trace::Trace> t,
+                      double rate_scale) {
   noc::Network net(p);
   trace::TraceWorkloadParams tw;
   tw.rate_scale = rate_scale;
@@ -66,7 +66,7 @@ int main() {
   util::Table t({"fabric", "core_cycles", "avg_lat", "p95_lat", "complete"});
   for (const auto& [name, params] : {std::pair{"fast (dvfs=3)", fast},
                                      std::pair{"slow (dvfs=0)", slow}}) {
-    const trace::TraceReplayResult r = replay(params, shared, 1.0);
+    const noc::RunResult r = replay(params, shared, 1.0);
     t.row()
         .cell(name)
         .cell(r.stats.core_cycles, 0)
@@ -95,7 +95,7 @@ int main() {
 
   noc::Network replayed(p);
   trace::TraceWorkload rw(capture);
-  const trace::TraceReplayResult rr = trace::run_trace_replay(replayed, rw);
+  const noc::RunResult rr = trace::run_trace_replay(replayed, rw);
   std::cout << "4. record -> replay: captured " << capture->records.size()
             << " packets, replay delivered " << rr.stats.packets_received
             << " (avg latency " << util::fmt(rr.stats.avg_latency, 2)

@@ -93,7 +93,7 @@ int explore_trace(const noc::NetworkParams& p, const std::string& path,
   trace::TraceWorkload w(t, tw);
   const auto limit =
       static_cast<std::uint64_t>(cfg.get("cycle_limit", 2000000LL));
-  const trace::TraceReplayResult r = trace::run_trace_replay(net, w, limit);
+  const noc::RunResult r = trace::run_trace_replay(net, w, limit);
   util::Table tab({"workload", "avg_lat", "p95_lat", "avg_hops", "packets",
                    "core_cycles", "power_mW", "complete"});
   tab.row()
@@ -130,8 +130,7 @@ int explore_scenario(const std::string& path, const noc::FaultParams& faults,
   scenario::ScenarioRunParams rp;
   rp.cycle_limit = s.cycle_limit;
   rp.duration = s.duration;
-  const scenario::ScenarioRunResult r =
-      scenario::run_scenario(*net, *workload, rp);
+  const noc::RunResult r = scenario::run_scenario(*net, *workload, rp);
   std::cout << "scenario '" << s.name << "' on " << s.net.topology << " "
             << s.net.width << "x" << s.net.height
             << (r.completed ? "" : "  [HIT CYCLE LIMIT]") << "\n";

@@ -88,6 +88,10 @@ class TrafficInjector {
   /// in ejection order. Only fires while this injector is driving the step
   /// (drain-only stepping with a null injector notifies nobody).
   virtual void on_packet_delivered(const PacketRecord& /*rec*/) {}
+  /// True when the injector will never inject again at or after
+  /// `core_time` (run_until_drained stops once this holds and the fabric
+  /// drains). Open-ended workloads keep the default: never done.
+  virtual bool done(double /*core_time*/) const { return false; }
   virtual std::string name() const = 0;
 };
 

@@ -63,6 +63,19 @@ SteadyResult run_steady_state(Network& net, TrafficInjector& workload,
   return result;
 }
 
+RunResult run_until_drained(Network& net, TrafficInjector& workload,
+                            std::uint64_t cycle_limit) {
+  RunResult out;
+  while (out.cycles < cycle_limit &&
+         !(workload.done(net.core_time()) && net.drained())) {
+    net.step(&workload);
+    ++out.cycles;
+  }
+  out.completed = workload.done(net.core_time()) && net.drained();
+  out.stats = net.drain_epoch_stats();
+  return out;
+}
+
 SteadyResult measure_point(const NetworkParams& net_params,
                            const std::string& pattern, double rate,
                            const SteadyRunParams& run_params,

@@ -30,6 +30,20 @@ struct SteadyResult {
 SteadyResult run_steady_state(Network& net, TrafficInjector& workload,
                               const SteadyRunParams& params = {});
 
+/// Outcome of run_until_drained.
+struct RunResult {
+  EpochStats stats;          ///< the whole run as one epoch window
+  bool completed = false;    ///< injector done and fabric drained
+  std::uint64_t cycles = 0;  ///< router cycles consumed
+};
+
+/// Steps `net` under `workload` until the injector is done
+/// (TrafficInjector::done) *and* the fabric drains, or `cycle_limit` router
+/// cycles elapse. The workload stays attached throughout, so deliveries
+/// after its last injection keep reaching it (trace dependencies).
+RunResult run_until_drained(Network& net, TrafficInjector& workload,
+                            std::uint64_t cycle_limit);
+
 /// Convenience wrapper: builds a fresh network with the given parameters,
 /// runs a steady-state experiment at `rate` on `pattern`, returns stats.
 /// A non-default `faults` (FaultParams::enabled()) attaches a deterministic

@@ -141,14 +141,12 @@ void CompositeWorkload::on_packet_delivered(const noc::PacketRecord& rec) {
   b.injector->on_packet_delivered(local);
 }
 
-bool CompositeWorkload::quiescent(double core_time) const {
+bool CompositeWorkload::done(double core_time) const {
   for (const TenantBinding& b : tenants_) {
-    // A finished non-looping trace is quiet; otherwise a tenant is quiet
-    // only once its window (capped by the horizon) has passed — after that
-    // generate() can never fire for it again.
-    if (b.trace != nullptr && !b.trace->params().loop && b.trace->done()) {
-      continue;
-    }
+    // A finished injector is quiet; otherwise a tenant is quiet only once
+    // its window (capped by the horizon) has passed — after that generate()
+    // can never fire for it again.
+    if (b.injector->done(core_time - b.start)) continue;
     const double end = b.stop < horizon_ ? b.stop : horizon_;
     if (core_time < end) return false;
   }

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "noc/network.h"
-#include "trace/trace_workload.h"
 
 namespace drlnoc::scenario {
 
@@ -41,9 +40,6 @@ struct TenantBinding {
   /// that starts at 0 at `start`.
   double start = 0.0;
   double stop = std::numeric_limits<double>::infinity();
-  /// Set when `injector` is a TraceWorkload: enables completion tracking
-  /// (quiescent()) without the composite probing types.
-  const trace::TraceWorkload* trace = nullptr;
 };
 
 class CompositeWorkload : public noc::TrafficInjector {
@@ -66,9 +62,9 @@ class CompositeWorkload : public noc::TrafficInjector {
   double horizon() const { return horizon_; }
 
   /// True when no tenant will ever inject again at or after `core_time`:
-  /// trace tenants have delivered every record (a looping trace never
-  /// finishes) and windowed tenants have passed min(stop, horizon).
-  bool quiescent(double core_time) const;
+  /// each tenant's injector is done (a finished non-looping trace) or its
+  /// window has passed min(stop, horizon).
+  bool done(double core_time) const override;
 
   int num_tenants() const { return static_cast<int>(tenants_.size()); }
   const TenantBinding& tenant(int id) const {

@@ -12,6 +12,7 @@
 #include "noc/traffic.h"
 #include "rl/dqn.h"
 #include "rl/policy_io.h"
+#include "trace/trace_workload.h"
 #include "util/log.h"
 
 namespace drlnoc::scenario {
@@ -47,12 +48,10 @@ std::unique_ptr<CompositeWorkload> build_workload(const Scenario& scenario,
         trace::TraceWorkloadParams tw;
         tw.rate_scale = t.rate_scale;
         tw.loop = t.loop;
-        auto child = std::make_unique<trace::TraceWorkload>(t.trace, tw);
-        b.trace = child.get();
+        b.injector = std::make_unique<trace::TraceWorkload>(t.trace, tw);
         // A placement list puts trace endpoint i on nodes[i]; without one
         // the trace addresses fabric ids directly.
         b.remap = !t.nodes.empty();
-        b.injector = std::move(child);
         break;
       }
       case WorkloadKind::kSteady:
@@ -105,22 +104,14 @@ double peak_offered_rate(const Scenario& scenario) {
   return peak;
 }
 
-ScenarioRunResult run_scenario(noc::Network& net, CompositeWorkload& workload,
-                               const ScenarioRunParams& params) {
+noc::RunResult run_scenario(noc::Network& net, CompositeWorkload& workload,
+                            const ScenarioRunParams& params) {
   if (params.duration > 0.0) workload.set_horizon(params.duration);
   net.set_tenant_tracking(workload.num_tenants());
-  ScenarioRunResult out;
-  while (out.cycles < params.cycle_limit &&
-         !(workload.quiescent(net.core_time()) && net.drained())) {
-    net.step(&workload);
-    ++out.cycles;
-  }
-  out.completed = workload.quiescent(net.core_time()) && net.drained();
-  out.stats = net.drain_epoch_stats();
-  return out;
+  return noc::run_until_drained(net, workload, params.cycle_limit);
 }
 
-ScenarioRunResult run_scenario(const Scenario& scenario) {
+noc::RunResult run_scenario(const Scenario& scenario) {
   scenario.validate();
   auto net = build_network(scenario);
   auto workload = build_workload(scenario, net->topology());
@@ -130,54 +121,73 @@ ScenarioRunResult run_scenario(const Scenario& scenario) {
   return run_scenario(*net, *workload, p);
 }
 
-std::unique_ptr<core::Controller> build_scheduled_controller(
-    const Scenario& scenario, const core::NocConfigEnv& env) {
-  const ControllerSchedule& ctl = scenario.controller;
-  if (!ctl.scheduled()) {
+core::ControllerFactory controller_factory(const std::string& type,
+                                           const std::string& policy_blob,
+                                           const std::string& policy_pin,
+                                           const std::string& policy_name) {
+  if (type == "static-max") {
+    return [](const core::NocConfigEnv& env)
+               -> std::unique_ptr<core::Controller> {
+      return core::StaticController::maximal(env.actions());
+    };
+  }
+  if (type == "static-min") {
+    return [](const core::NocConfigEnv& env)
+               -> std::unique_ptr<core::Controller> {
+      return core::StaticController::minimal(env.actions());
+    };
+  }
+  if (type == "heuristic") {
+    return [](const core::NocConfigEnv& env)
+               -> std::unique_ptr<core::Controller> {
+      core::HeuristicParams hp;
+      hp.num_nodes = env.params().net.width * env.params().net.height;
+      return std::make_unique<core::HeuristicController>(env.actions(), hp);
+    };
+  }
+  if (type != "drl") {
+    throw std::invalid_argument("scenario: unknown controller type '" + type +
+                                "'");
+  }
+  if (policy_blob.empty()) {
     throw std::invalid_argument(
-        "scenario: no controller schedule (add a [controller] block)");
+        "scenario: controller type 'drl' needs a trained policy "
+        "(DqnAgent::save output)");
   }
-  if (ctl.type == "static-max") {
-    return core::StaticController::maximal(env.actions());
-  }
-  if (ctl.type == "static-min") {
-    return core::StaticController::minimal(env.actions());
-  }
-  if (ctl.type == "heuristic") {
-    core::HeuristicParams hp;
-    hp.num_nodes = scenario.net.width * scenario.net.height;
-    return std::make_unique<core::HeuristicController>(env.actions(), hp);
-  }
-  if (ctl.type == "drl") {
-    // Pin check first: it is a pure byte comparison, so a wrong policy
-    // file is rejected before any parsing can muddy the message.
-    if (!ctl.policy_pin.empty()) {
-      const std::string fp = rl::policy_fingerprint(ctl.policy_blob);
-      if (fp != ctl.policy_pin) {
-        throw std::invalid_argument(
-            "scenario: controller policy fingerprint " + fp +
-            " does not match the pinned version " + ctl.policy_pin +
-            " (the policy file changed since it was pinned)");
-      }
-    }
-    // Probe the policy's architecture first for a diagnosable mismatch
-    // (DqnAgent::load_weights would adopt whatever the blob holds).
-    // Accepts drlpol checkpoints and legacy bare mlp blobs alike.
-    rl::PolicyCheckpoint ckpt;
-    try {
-      ckpt = rl::read_policy_blob(ctl.policy_blob);
-    } catch (const std::exception& e) {
+  // Pin check first: it is a pure byte comparison, so a wrong policy file
+  // is rejected before any parsing can muddy the message.
+  if (!policy_pin.empty()) {
+    const std::string fp = rl::policy_fingerprint(policy_blob);
+    if (fp != policy_pin) {
       throw std::invalid_argument(
-          "scenario: controller policy is not a DqnAgent::save artifact (" +
-          std::string(e.what()) + ")");
+          "scenario: controller policy fingerprint " + fp +
+          " does not match the pinned version " + policy_pin +
+          " (the policy file changed since it was pinned)");
     }
-    if (ckpt.net.input_size() != env.state_size() ||
-        ckpt.net.output_size() !=
+  }
+  // Parse once; every environment gets its own copy of the network (worker
+  // threads must not share one: forward passes cache activations). Accepts
+  // drlpol checkpoints and legacy bare mlp blobs alike.
+  std::shared_ptr<const rl::PolicyCheckpoint> ckpt;
+  try {
+    ckpt = std::make_shared<const rl::PolicyCheckpoint>(
+        rl::read_policy_blob(policy_blob));
+  } catch (const std::exception& e) {
+    throw std::invalid_argument(
+        "scenario: controller policy is not a DqnAgent::save artifact (" +
+        std::string(e.what()) + ")");
+  }
+  return [ckpt, policy_name](const core::NocConfigEnv& env)
+             -> std::unique_ptr<core::Controller> {
+    // A diagnosable mismatch beats DqnAgent::load_weights silently adopting
+    // whatever architecture the blob holds.
+    if (ckpt->net.input_size() != env.state_size() ||
+        ckpt->net.output_size() !=
             static_cast<std::size_t>(env.num_actions())) {
       throw std::invalid_argument(
           "scenario: controller policy expects state " +
-          std::to_string(ckpt.net.input_size()) + " / actions " +
-          std::to_string(ckpt.net.output_size()) +
+          std::to_string(ckpt->net.input_size()) + " / actions " +
+          std::to_string(ckpt->net.output_size()) +
           " but the environment has state " +
           std::to_string(env.state_size()) + " / actions " +
           std::to_string(env.num_actions()) +
@@ -185,25 +195,37 @@ std::unique_ptr<core::Controller> build_scheduled_controller(
     }
     // Scenario-hash provenance is advisory: fleets legitimately evaluate
     // one policy across scenario variants, so a mismatch warns but runs.
-    if (ckpt.header && !ckpt.header->scenario_hash.empty()) {
-      const std::string here = content_hash_hex(scenario);
-      if (ckpt.header->scenario_hash != here) {
-        LOG_WARN << "policy '" << ctl.policy_file << "' was trained on "
-                 << "scenario " << ckpt.header->scenario_hash
-                 << " but is serving scenario " << here
-                 << " ('" << scenario.name << "')";
+    const Scenario* scenario = env.params().scenario.get();
+    if (scenario != nullptr && ckpt->header &&
+        !ckpt->header->scenario_hash.empty()) {
+      const std::string here = content_hash_hex(*scenario);
+      if (ckpt->header->scenario_hash != here) {
+        LOG_WARN << "policy '" << policy_name << "' was trained on "
+                 << "scenario " << ckpt->header->scenario_hash
+                 << " but is serving scenario " << here << " ('"
+                 << scenario->name << "')";
       }
     }
     auto agent = std::make_unique<rl::DqnAgent>(
         env.state_size(), env.num_actions(), rl::DqnParams{});
-    // Install the probed network itself, so the weights that were
+    // Install the checked network itself, so the weights that were
     // dimension-checked are exactly the weights that run.
-    agent->load_weights(std::move(ckpt.net));
+    agent->load_weights(ckpt->net);
     return std::make_unique<core::OwningDrlController>(
-        env.actions(), std::move(agent), "drl[" + ctl.policy_file + "]");
+        env.actions(), std::move(agent),
+        policy_name.empty() ? "drl" : "drl[" + policy_name + "]");
+  };
+}
+
+std::unique_ptr<core::Controller> build_scheduled_controller(
+    const Scenario& scenario, const core::NocConfigEnv& env) {
+  const ControllerSchedule& ctl = scenario.controller;
+  if (!ctl.scheduled()) {
+    throw std::invalid_argument(
+        "scenario: no controller schedule (add a [controller] block)");
   }
-  throw std::invalid_argument("scenario: unknown controller type '" +
-                              ctl.type + "'");
+  return controller_factory(ctl.type, ctl.policy_blob, ctl.policy_pin,
+                            ctl.policy_file)(env);
 }
 
 ScheduledRunResult run_scheduled(const Scenario& scenario,

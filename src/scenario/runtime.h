@@ -11,7 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "core/parallel.h"
 #include "core/trainer.h"
+#include "noc/simulator.h"
 #include "scenario/composite_workload.h"
 #include "scenario/scenario.h"
 
@@ -45,20 +47,16 @@ struct ScenarioRunParams {
   double duration = 0.0;
 };
 
-struct ScenarioRunResult {
-  noc::EpochStats stats;       ///< whole-run window, incl. per-tenant slices
-  bool completed = false;      ///< all tenants quiet and fabric drained
-  std::uint64_t cycles = 0;    ///< router cycles consumed
-};
-
 /// Steps `net` under `workload` until every tenant is quiet and the fabric
-/// drains (or the cycle limit trips). Enables per-tenant tracking on `net`.
-ScenarioRunResult run_scenario(noc::Network& net, CompositeWorkload& workload,
-                               const ScenarioRunParams& params = {});
+/// drains (or the cycle limit trips); see noc::run_until_drained. Enables
+/// per-tenant tracking on `net`, so the result's stats carry per-tenant
+/// slices.
+noc::RunResult run_scenario(noc::Network& net, CompositeWorkload& workload,
+                            const ScenarioRunParams& params = {});
 
 /// Convenience: build network + workload from the scenario and run it with
 /// the scenario's duration/cycle_limit.
-ScenarioRunResult run_scenario(const Scenario& scenario);
+noc::RunResult run_scenario(const Scenario& scenario);
 
 /// Human/JSON-facing per-tenant slice derived from one epoch window.
 struct TenantReport {
@@ -80,11 +78,28 @@ std::vector<TenantReport> tenant_reports(const Scenario& scenario,
 
 // --- controller schedules ---------------------------------------------------
 
-/// Builds the controller named by `scenario.controller` against `env`'s
-/// action space. DRL schedules deserialize the policy blob (DqnAgent::save
-/// output) and validate its dimensions against the environment. Throws
-/// std::invalid_argument when no schedule is set or the policy does not fit
-/// the environment's state/action sizes.
+/// The one name -> controller mapping: `drl`, `heuristic`, `static-max` or
+/// `static-min`, as `.drlsc` [controller] blocks, scenarioctl, fleetctl and
+/// the paper benches name them. The factory builds the controller against
+/// each environment it is handed (safe to call concurrently): the heuristic
+/// normalises by that environment's fabric size, and `drl` serves a private
+/// copy of `policy_blob` (DqnAgent::save output, drlpol or legacy mlp)
+/// after checking its dimensions against the environment; the policy-free
+/// types ignore the policy arguments. A non-empty `policy_pin` must equal
+/// rl::policy_fingerprint(policy_blob); it is checked before the blob is
+/// parsed. `policy_name` labels the controller `drl[<name>]` (plain `drl`
+/// when empty) and names the file in warnings.
+/// Throws std::invalid_argument for an unknown type, a `drl` without a
+/// blob, a pin mismatch, an unparsable blob, and (per environment) a policy
+/// whose dimensions do not fit.
+core::ControllerFactory controller_factory(const std::string& type,
+                                           const std::string& policy_blob = {},
+                                           const std::string& policy_pin = {},
+                                           const std::string& policy_name = {});
+
+/// Builds the controller named by `scenario.controller` against `env` via
+/// controller_factory. Throws std::invalid_argument when no schedule is set
+/// and wherever controller_factory does.
 std::unique_ptr<core::Controller> build_scheduled_controller(
     const Scenario& scenario, const core::NocConfigEnv& env);
 

@@ -115,7 +115,7 @@ void TraceWorkload::on_packet_delivered(const noc::PacketRecord& rec) {
   }
 }
 
-bool TraceWorkload::done() const {
+bool TraceWorkload::done(double /*core_time*/) const {
   if (params_.loop) return false;
   const std::uint64_t n = trace_->records.size();
   return iter_emitted_ == n && iter_delivered_ == n;
@@ -128,21 +128,13 @@ std::string TraceWorkload::name() const {
   return os.str();
 }
 
-TraceReplayResult run_trace_replay(noc::Network& net, TraceWorkload& workload,
-                                   std::uint64_t cycle_limit) {
+noc::RunResult run_trace_replay(noc::Network& net, TraceWorkload& workload,
+                                std::uint64_t cycle_limit) {
   if (net.num_nodes() < workload.trace().nodes) {
     throw std::invalid_argument(
         "run_trace_replay: trace addresses more nodes than the network has");
   }
-  TraceReplayResult out;
-  while (out.cycles < cycle_limit &&
-         !(workload.done() && net.drained())) {
-    net.step(&workload);
-    ++out.cycles;
-  }
-  out.completed = workload.done() && net.drained();
-  out.stats = net.drain_epoch_stats();
-  return out;
+  return noc::run_until_drained(net, workload, cycle_limit);
 }
 
 }  // namespace drlnoc::trace

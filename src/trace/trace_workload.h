@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "noc/network.h"
+#include "noc/simulator.h"
 #include "trace/trace.h"
 
 namespace drlnoc::trace {
@@ -48,7 +49,7 @@ class TraceWorkload : public noc::TrafficInjector {
 
   /// True when every record of the (non-looping) trace has been emitted and
   /// delivered. A looping workload is never done.
-  bool done() const;
+  bool done(double core_time) const override;
 
   const Trace& trace() const { return *trace_; }
   const TraceWorkloadParams& params() const { return params_; }
@@ -101,15 +102,9 @@ class TraceWorkload : public noc::TrafficInjector {
 };
 
 /// Drives `net` with `workload` until the trace completes *and* the fabric
-/// drains (or `cycle_limit` router cycles elapse). The workload stays
-/// attached throughout so post-emission deliveries keep gating dependents.
-struct TraceReplayResult {
-  noc::EpochStats stats;
-  bool completed = false;     ///< every record delivered and fabric drained
-  std::uint64_t cycles = 0;   ///< router cycles consumed
-};
-
-TraceReplayResult run_trace_replay(noc::Network& net, TraceWorkload& workload,
-                                   std::uint64_t cycle_limit = 1000000);
+/// drains (or `cycle_limit` router cycles elapse); see
+/// noc::run_until_drained. Rejects traces addressing more nodes than `net`.
+noc::RunResult run_trace_replay(noc::Network& net, TraceWorkload& workload,
+                                std::uint64_t cycle_limit = 1000000);
 
 }  // namespace drlnoc::trace

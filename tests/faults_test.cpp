@@ -557,7 +557,7 @@ TEST(ScenarioFaults, ValidateRejectsDisconnectingCycleZeroEvents) {
 // A scenario run with scripted faults completes and reports fault metrics.
 TEST(ScenarioFaults, ScriptedFaultsFlowIntoRunMetrics) {
   scenario::Scenario s = faulted_scenario();
-  const scenario::ScenarioRunResult r = scenario::run_scenario(s);
+  const noc::RunResult r = scenario::run_scenario(s);
   EXPECT_TRUE(r.completed);
   EXPECT_GT(r.stats.packets_offered, 0u);
   EXPECT_GT(r.stats.retries + r.stats.flits_dropped, 0u);

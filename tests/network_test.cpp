@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <set>
 
 #include "noc/network.h"
@@ -392,6 +393,13 @@ struct StressCase {
   int vcs;
   int pipeline;
 };
+
+// gtest's default printer dumps the struct's bytes, including both string
+// pointers, which differ on every run under ASLR; ctest copies the printed
+// parameter into each discovered test name, so print the values instead.
+void PrintTo(const StressCase& c, std::ostream* os) {
+  *os << c.topology << '/' << c.routing << " vc" << c.vcs << " p" << c.pipeline;
+}
 
 class ConservationStress : public ::testing::TestWithParam<StressCase> {};
 

@@ -638,7 +638,7 @@ std::uint64_t checked_accounting_fold(std::uint64_t seed) {
   scenario::Scenario s = mixed_scenario(true, seed);
   auto net = scenario::build_network(s);
   auto w = scenario::build_workload(s, net->topology());
-  const scenario::ScenarioRunResult r = scenario::run_scenario(*net, *w);
+  const noc::RunResult r = scenario::run_scenario(*net, *w);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.stats.tenants.size(), 2u);
 
@@ -697,7 +697,7 @@ TEST(QosPinning, AnnotationsNeverPerturbTheTrafficStream) {
     scenario::Scenario s = mixed_scenario(with_qos);
     auto net = scenario::build_network(s);
     auto w = scenario::build_workload(s, net->topology());
-    const scenario::ScenarioRunResult r = scenario::run_scenario(*net, *w);
+    const noc::RunResult r = scenario::run_scenario(*net, *w);
     EXPECT_TRUE(r.completed);
     std::uint64_t h = stream_hash(net->drain_records());
     h ^= 0x9e3779b97f4a7c15ULL * (r.stats.tenants[0].packets_received + 1);

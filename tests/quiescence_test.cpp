@@ -182,7 +182,7 @@ TEST(Quiescence, TenantActivationAtWindowBoundaryAfterDrain) {
 
   s.tenants = {t0, t1};
 
-  const scenario::ScenarioRunResult r = scenario::run_scenario(s);
+  const noc::RunResult r = scenario::run_scenario(s);
   EXPECT_TRUE(r.completed);
   ASSERT_EQ(r.stats.tenants.size(), 2u);
   EXPECT_GT(r.stats.tenants[0].packets_received, 0u);
@@ -215,8 +215,7 @@ TEST(Quiescence, DependencyReleaseIntoQuiescentRegion) {
   noc::Network net(p);
   trace::TraceWorkload workload(std::move(t));
 
-  const trace::TraceReplayResult r =
-      trace::run_trace_replay(net, workload, 100000);
+  const noc::RunResult r = trace::run_trace_replay(net, workload, 100000);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(workload.delivered(), 4u);
 

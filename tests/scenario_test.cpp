@@ -246,7 +246,7 @@ TEST(ScenarioAcceptance, SingleTenantTraceBitIdenticalToDirectReplay) {
   auto w = build_workload(s, net->topology());
   ScenarioRunParams rp;
   rp.cycle_limit = 500000;
-  const ScenarioRunResult r = run_scenario(*net, *w, rp);
+  const noc::RunResult r = run_scenario(*net, *w, rp);
   EXPECT_TRUE(r.completed);
 
   // The delivered-packet stream — ids, endpoints, lengths, timestamps,
@@ -258,7 +258,7 @@ TEST(CompositeWorkloadTest, AttributesTenantsAndRespectsWindows) {
   const Scenario s = mixed_scenario();
   auto net = build_network(s);
   auto w = build_workload(s, net->topology());
-  const ScenarioRunResult r = run_scenario(*net, *w);
+  const noc::RunResult r = run_scenario(*net, *w);
   ASSERT_TRUE(r.completed);
 
   const auto records = net->drain_records();
@@ -311,7 +311,7 @@ TEST(CompositeWorkloadTest, PlacementRemapsTraceEndpoints) {
 
   auto net = build_network(s);
   auto w = build_workload(s, net->topology());
-  const ScenarioRunResult r = run_scenario(*net, *w);
+  const noc::RunResult r = run_scenario(*net, *w);
   ASSERT_TRUE(r.completed);
   const auto records = net->drain_records();
   ASSERT_EQ(records.size(), 3u);
@@ -340,7 +340,7 @@ TEST(CompositeWorkloadTest, WindowShiftsTraceReleaseTimes) {
   s.tenants.push_back(std::move(ten));
   auto net = build_network(s);
   auto w = build_workload(s, net->topology());
-  const ScenarioRunResult r = run_scenario(*net, *w);
+  const noc::RunResult r = run_scenario(*net, *w);
   ASSERT_TRUE(r.completed);
   const auto records = net->drain_records();
   ASSERT_EQ(records.size(), 1u);
@@ -444,7 +444,7 @@ std::uint64_t scenario_run_hash(std::uint64_t seed) {
   Scenario s = mixed_scenario(seed);
   auto net = build_network(s);
   auto w = build_workload(s, net->topology());
-  const ScenarioRunResult r = run_scenario(*net, *w);
+  const noc::RunResult r = run_scenario(*net, *w);
   std::uint64_t h = stream_hash(net->drain_records());
   // Fold in the per-tenant accounting so attribution is pinned too.
   h ^= 0x9e3779b97f4a7c15ULL * (r.stats.tenants[0].packets_received + 1);

@@ -350,7 +350,7 @@ TEST(TraceWorkloadTest, LoopRestartsAfterFullDelivery) {
   p.width = p.height = 4;
   noc::Network net(p);
   for (int i = 0; i < 2000; ++i) net.step(&w);
-  EXPECT_FALSE(w.done());  // looping workloads never finish
+  EXPECT_FALSE(w.done(net.core_time()));  // looping workloads never finish
   EXPECT_GT(w.iterations(), 3u);
   // Each completed iteration emitted both records; the current one may be
   // anywhere in flight.

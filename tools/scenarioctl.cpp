@@ -423,8 +423,7 @@ int cmd_run(const util::Config& cfg) {
   scenario::ScenarioRunParams rp;
   rp.cycle_limit = s.cycle_limit;
   rp.duration = s.duration;
-  const scenario::ScenarioRunResult r =
-      scenario::run_scenario(*net, *workload, rp);
+  const noc::RunResult r = scenario::run_scenario(*net, *workload, rp);
   std::cout << "ran '" << s.name << "' on " << s.net.topology << " "
             << s.net.width << "x" << s.net.height << ": "
             << r.cycles << " router cycles, "
